@@ -1,16 +1,12 @@
 #!/usr/bin/env python
-"""Graph compiler benchmark: compiled steps, batched simulator, memory plans.
+"""Graph compiler benchmark: compiled train steps and memory plans.
 
-Writes ``BENCH_graph.json`` with three sections:
+Writes ``BENCH_graph.json`` with two sections:
 
 * ``single_step`` — eager vs graph-VM train-step time per zoo model.  The
   elementwise-dominated MLP is the headline (fusion and buffer reuse
   eliminate most interpreter and allocator overhead); LeNet-5 is reported
   honestly — its steps are GEMM-bound, so the VM adds ~nothing.
-* ``sim_pipeline`` — simulator client-update production through the batched
-  VM at ``client_batch`` 1/8/64 vs the eager per-client loop, plus an
-  end-to-end ``repro simulate`` wall-clock comparison whose reports are
-  asserted identical (the compiled path is a pure execution knob).
 * ``memory_plan`` — compile-time secure-pool peak (:func:`repro.graph.plan_policy`)
   vs the measured ``tee.pool.peak_bytes`` gauge, per zoo model × protection
   policy; every row must satisfy ``planned == measured``.
@@ -23,10 +19,8 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import time
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
@@ -138,89 +132,6 @@ def section_single_step(quick):
     return rows
 
 
-# ---------------------------------------------------------------- sim pipeline
-def _pipeline_once(sim, members, global_weights, compiled):
-    sim._update_cache.clear()
-    if compiled:
-        sim._precompute_updates(0, members, global_weights)
-    for client in members:
-        update = sim._make_update(0, client, global_weights)
-        update.wire_bytes()
-
-
-def bench_sim_pipeline(quick):
-    from repro.obs import VirtualClock, fresh
-    from repro.sim import FLSimulator, SimConfig
-
-    num_clients = 512 if quick else 2048
-    cohort = 128 if quick else 512
-    rows = []
-    eager_s = None
-    for compiled, batch in ((False, 1), (True, 1), (True, 8), (True, 64)):
-        cfg = SimConfig(
-            num_clients=num_clients,
-            rounds=1,
-            seed=1,
-            cohort=cohort,
-            compile=compiled,
-            client_batch=batch,
-        )
-        with fresh(clock=VirtualClock()) as ctx:
-            sim = FLSimulator(cfg, clock=ctx.clock)
-            members = sim._select_cohort(0)
-            gw = sim.model.get_weights()
-            timing = time_call(
-                lambda: _pipeline_once(sim, members, gw, compiled),
-                repeats=3 if quick else (5 if not compiled else 15),
-                warmup=1,
-            )
-        per_round = timing["best_s"]
-        if not compiled:
-            eager_s = per_round
-        rows.append(
-            {
-                "mode": "compiled" if compiled else "eager",
-                "client_batch": batch,
-                "clients_per_round": len(members),
-                "round_seconds": per_round,
-                "client_steps_per_s": len(members) / per_round,
-                "speedup_vs_eager": (eager_s / per_round) if eager_s else None,
-            }
-        )
-    return rows
-
-
-def bench_end_to_end(quick):
-    from repro.api import simulate
-
-    kwargs = dict(
-        clients=256 if quick else 1024,
-        rounds=3,
-        seed=2,
-        cohort=96 if quick else 384,
-    )
-    started = time.perf_counter()
-    eager = simulate(**kwargs)
-    eager_s = time.perf_counter() - started
-    started = time.perf_counter()
-    compiled = simulate(**kwargs, compile=True, client_batch=64)
-    compiled_s = time.perf_counter() - started
-    identical = json.dumps(eager, sort_keys=True) == json.dumps(
-        compiled, sort_keys=True
-    )
-    if not identical:
-        raise AssertionError("compiled simulate report diverged from eager")
-    return {
-        "config": kwargs,
-        "client_batch": 64,
-        "eager_wall_s": eager_s,
-        "compiled_wall_s": compiled_s,
-        "speedup": eager_s / compiled_s,
-        "reports_identical": identical,
-        "weights_sha256": eager["weights_sha256"],
-    }
-
-
 # ----------------------------------------------------------------- memory plan
 def bench_memory_plan():
     from repro.core.policy import DarknetzPolicy, DynamicPolicy, StaticPolicy
@@ -309,24 +220,6 @@ def main(argv=None) -> int:
             f"({row['speedup']:.2f}x, identical={row['weights_identical']})"
         )
 
-    print("timing simulator update pipeline (eager vs batched VM) ...")
-    pipeline = bench_sim_pipeline(args.quick)
-    for row in pipeline:
-        speedup = row["speedup_vs_eager"]
-        print(
-            f"  {row['mode']:>8} batch {row['client_batch']:>2}: "
-            f"{row['client_steps_per_s']:,.0f} client-steps/s"
-            + (f" ({speedup:.1f}x)" if speedup else "")
-        )
-
-    print("timing end-to-end repro simulate ...")
-    end_to_end = bench_end_to_end(args.quick)
-    print(
-        f"  eager {end_to_end['eager_wall_s']:.2f}s -> compiled "
-        f"{end_to_end['compiled_wall_s']:.2f}s ({end_to_end['speedup']:.2f}x), "
-        f"reports identical: {end_to_end['reports_identical']}"
-    )
-
     print("checking planned vs measured secure-pool peaks ...")
     memory = bench_memory_plan()
     print(
@@ -339,18 +232,14 @@ def main(argv=None) -> int:
         "schema": 1,
         "quick": bool(args.quick),
         "single_step": single,
-        "sim_pipeline": pipeline,
-        "end_to_end": end_to_end,
         "memory_plan": memory,
         "plan_cache": plan_cache_stats(),
         "notes": (
             "single_step times one full train step (forward, backward, SGD) "
             "eager vs the graph VM; the MLP is the fusion headline, LeNet-5 "
-            "is GEMM-bound and gains ~nothing.  sim_pipeline times the "
-            "simulator's client-update production (the per-round hot loop) "
-            "eager vs the client-batched VM; reports stay byte-identical.  "
-            "memory_plan checks the compile-time secure-pool budget equals "
-            "the runtime tee.pool.peak_bytes gauge for every policy cycle."
+            "is GEMM-bound and gains ~nothing.  memory_plan checks the "
+            "compile-time secure-pool budget equals the runtime "
+            "tee.pool.peak_bytes gauge for every policy cycle."
         ),
     }
     write_result(args.out, payload)

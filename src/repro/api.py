@@ -132,8 +132,6 @@ def simulate(
     clip: bool = False,
     drift: float = 0.2,
     update_scale: float = 0.05,
-    compile: bool = False,
-    client_batch: int = 1,
     async_mode: bool = False,
     buffer_size: Optional[int] = None,
     staleness: str = "constant",
@@ -153,14 +151,11 @@ def simulate(
     (:data:`RULES`), and ``max_norm`` puts admission control and the
     reputation/quarantine ledger in the loop.  Identical arguments produce
     an identical report, byte for byte once serialised — quarantine events
-    included.  ``compile`` produces client updates through the traced
-    graph VM and ``client_batch`` stacks that many clients per execution;
-    both are pure execution knobs — the report (``weights_sha256``
-    included) is byte-identical to the eager run.  ``async_mode`` switches
-    to the FedBuff-style buffered pipeline: no round barrier, a commit
-    every ``buffer_size`` admitted updates, stale arrivals folded with the
-    ``staleness`` weighting, and ``rounds`` counting commits — with the
-    same byte-for-byte determinism guarantees.
+    included.  ``async_mode`` switches to the FedBuff-style buffered
+    pipeline: no round barrier, a commit every ``buffer_size`` admitted
+    updates, stale arrivals folded with the ``staleness`` weighting, and
+    ``rounds`` counting commits — with the same byte-for-byte determinism
+    guarantees.
     """
     from .obs import VirtualClock, fresh
     from .sim import FLSimulator, FaultPlan, FaultRates, SimConfig
@@ -184,8 +179,6 @@ def simulate(
         clip=clip,
         drift=drift,
         update_scale=update_scale,
-        compile=compile,
-        client_batch=client_batch,
         async_mode=async_mode,
         buffer_size=buffer_size,
         staleness=staleness,

@@ -11,14 +11,16 @@ Usage::
     python -m repro simulate --clients 100000 --shards 64
 
 Every subcommand spells the shared knobs the same way: ``--seed``,
-``--clients``, ``--rounds``, ``--out``.  Older spellings (``--cycles``)
-still parse as hidden aliases of the canonical flag.
+``--clients``, ``--rounds``, ``--out``.  Errors caught while parsing,
+including an ``--out`` path that cannot be written, exit with status 2
+and a one-line ``error:`` message before any work starts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -421,8 +423,6 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         clip=args.clip,
         drift=args.drift,
         update_scale=args.update_scale,
-        compile=args.compile,
-        client_batch=args.client_batch,
         async_mode=args.async_mode,
         buffer_size=args.buffer_size,
         staleness=args.staleness,
@@ -657,23 +657,48 @@ def _cmd_list(args: argparse.Namespace) -> None:
     print(f"  {'serve':<8} multi-tenant coordinator service under synthetic load")
 
 
-def _add_alias(sub: argparse.ArgumentParser, flag: str, dest: str, type=None) -> None:
-    """Register a deprecated spelling of a canonical flag.
+def _out_path(value: str) -> str:
+    """argparse type of ``--out``: a file the run will be able to write.
 
-    Hidden from ``--help`` and contributing no default, so the canonical
-    flag's default always wins unless the alias is actually typed.
+    Checked at parse time so a long run is not wasted on a path that fails
+    only when the result is written.
     """
-    sub.add_argument(
-        flag,
-        dest=dest,
-        type=type,
-        default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
+    directory = os.path.dirname(os.path.abspath(value))
+    if os.path.isdir(value):
+        raise argparse.ArgumentTypeError(f"{value} is a directory")
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"directory {directory} does not exist")
+    if not os.access(directory, os.W_OK) or (
+        os.path.exists(value) and not os.access(value, os.W_OK)
+    ):
+        raise argparse.ArgumentTypeError(f"cannot write {value}")
+    return value
+
+
+def _positive_int(value: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not an integer") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+    return number
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose errors are one line: ``<prog>: error: <why>``.
+
+    Subparsers inherit the class, so every subcommand reports bad input
+    the same way, with exit status 2 and no usage dump.
+    """
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Regenerate the GradSec paper's tables and figures.",
     )
@@ -683,10 +708,14 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=description)
         sub.add_argument("--fast", action="store_true", help="reduced budget")
         sub.add_argument("--rounds", type=int, default=36, help="FL rounds (DPIA)")
-        _add_alias(sub, "--cycles", dest="rounds", type=int)
         sub.add_argument("--batch-size", type=int, default=32, help="batch size")
         sub.add_argument("--seed", type=int, default=0, help="experiment seed")
-        sub.add_argument("--out", default=None, help="write result rows as JSON here")
+        sub.add_argument(
+            "--out",
+            type=_out_path,
+            default=None,
+            help="write result rows as JSON here",
+        )
         if name == "blocks":
             sub.add_argument(
                 "--model",
@@ -715,11 +744,18 @@ def build_parser() -> argparse.ArgumentParser:
         "perf", help="fused-kernel and parallel-round microbenchmarks"
     )
     perf.add_argument("--quick", action="store_true", help="smoke configuration")
-    perf.add_argument("--workers", type=int, default=4, help="executor width")
+    perf.add_argument(
+        "--workers", type=_positive_int, default=4, help="executor width"
+    )
     perf.add_argument(
         "--clients", type=int, default=8, help="FL participants in round benchmarks"
     )
-    perf.add_argument("--out", default=None, help="write BENCH_kernels JSON here")
+    perf.add_argument(
+        "--out",
+        type=_out_path,
+        default=None,
+        help="write BENCH_kernels JSON here",
+    )
     perf.add_argument(
         "--compare",
         default=None,
@@ -757,7 +793,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="admission-control L2 ceiling on update deltas",
     )
-    trace.add_argument("--out", default=None, help="write the JSON here")
+    trace.add_argument(
+        "--out",
+        type=_out_path,
+        default=None,
+        help="write the JSON here",
+    )
     simulate = subparsers.add_parser(
         "simulate", help="event-driven FL fleet simulation with fault injection"
     )
@@ -875,18 +916,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="noise std of honest pseudo-updates",
     )
     simulate.add_argument(
-        "--compile",
-        action="store_true",
-        help="produce client updates through the compiled graph VM "
-        "(bitwise-identical report, faster)",
-    )
-    simulate.add_argument(
-        "--client-batch",
-        type=int,
-        default=1,
-        help="clients stacked per batched VM execution (requires --compile)",
-    )
-    simulate.add_argument(
         "--async",
         dest="async_mode",
         action="store_true",
@@ -923,7 +952,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="checkpoint directory (enables kill/resume across invocations)",
     )
-    simulate.add_argument("--out", default=None, help="write the JSON report here")
+    simulate.add_argument(
+        "--out",
+        type=_out_path,
+        default=None,
+        help="write the JSON report here",
+    )
     serve = subparsers.add_parser(
         "serve", help="multi-tenant coordinator service under synthetic load"
     )
@@ -1039,7 +1073,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="malformed frames tolerated per tenant in a 30s sliding window "
         "before the circuit breaker sheds it (0 = breaker off)",
     )
-    serve.add_argument("--out", default=None, help="write the JSON report here")
+    serve.add_argument(
+        "--out",
+        type=_out_path,
+        default=None,
+        help="write the JSON report here",
+    )
     return parser
 
 

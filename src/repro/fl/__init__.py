@@ -17,7 +17,6 @@ from .aggregation import (
     StreamingWeightedSum,
     fedavg,
     merge_plain_and_sealed,
-    weighted_average,
 )
 from .buffer import BufferedAggregator
 from .client import FLClient
@@ -58,7 +57,7 @@ __all__ = [
     "FLServer", "FLClient", "TrainingPlan",
     "RoundExecutor", "SequentialRoundExecutor", "ParallelRoundExecutor",
     "RetryPolicy", "collect_with_retries",
-    "fedavg", "weighted_average", "merge_plain_and_sealed",
+    "fedavg", "merge_plain_and_sealed",
     "CompensatedAccumulator", "StreamingWeightedSum",
     "ServerConfig", "RoundConfig", "ShardingConfig",
     "BufferConfig", "BufferedAggregator",

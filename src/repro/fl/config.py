@@ -1,13 +1,9 @@
 """Typed, frozen configuration for the FL coordinator.
 
-Three PRs of growth left :class:`~repro.fl.server.FLServer` with a sprawl
-of loose keyword arguments (retry policy, quorum, re-attestation, sampling
-seed, …).  This module is the redesigned surface: small frozen dataclasses
-that validate on construction, compose (`ServerConfig` nests `RoundConfig`
-and `ShardingConfig`), and travel as plain data.  ``FLServer(config=...)``
-is the supported spelling; the legacy kwargs still work through a
-deprecation shim that maps them onto these types (see
-:meth:`ServerConfig.from_legacy`).
+Small frozen dataclasses that validate on construction, compose
+(`ServerConfig` nests `RoundConfig` and `ShardingConfig`), and travel as
+plain data.  ``FLServer(config=...)`` is how a server's retry policy,
+quorum, re-attestation, sampling seed and sharding are set.
 """
 
 from __future__ import annotations
@@ -182,18 +178,3 @@ class ServerConfig:
     seed: int = 7
     round: RoundConfig = field(default_factory=RoundConfig)
     sharding: ShardingConfig = field(default_factory=ShardingConfig)
-
-    @classmethod
-    def from_legacy(
-        cls,
-        allow_legacy: bool = False,
-        retry: Optional[RetryPolicy] = None,
-        reattest: bool = True,
-        seed: int = 7,
-    ) -> "ServerConfig":
-        """Map the pre-redesign ``FLServer`` kwarg sprawl onto configs."""
-        return cls(
-            allow_legacy=bool(allow_legacy),
-            seed=int(seed),
-            round=RoundConfig(retry=retry, reattest=bool(reattest)),
-        )

@@ -4,7 +4,12 @@ The paper assumes the server side is protected by secure aggregation or a
 server TEE (§4); this module provides the former so the full system can be
 assembled: every client pair (i, j) derives a shared mask from a common
 seed; client i adds it, client j subtracts it, and the server — who only
-ever sees masked vectors — recovers exactly the sum.
+ever sees masked vectors — recovers the sum up to float rounding.
+
+The masks are float64 values, so they cancel only up to rounding: with 50
+clients × 1000 parameters the recovered sum differs from the plaintext sum
+by about 4.5e-14.  Masking in fixed point over Z_2^64, where integer
+addition wraps and the masks cancel exactly, is the planned fix.
 """
 
 from __future__ import annotations
@@ -71,7 +76,8 @@ def mask_update(update: np.ndarray, masker: PairwiseMasker) -> np.ndarray:
 
 
 def aggregate_masked(masked_updates: Sequence[np.ndarray]) -> np.ndarray:
-    """Sum of masked updates — the pairwise masks cancel exactly."""
+    """Sum of masked updates — the pairwise masks cancel up to float
+    rounding (see the module docstring)."""
     if not masked_updates:
         raise ValueError("nothing to aggregate")
     out = np.zeros_like(np.asarray(masked_updates[0], dtype=np.float64))

@@ -9,7 +9,6 @@ snapshot history every participant observes (DPIA's raw material).
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -25,14 +24,12 @@ from .config import ServerConfig
 from .executor import RoundExecutor, SequentialRoundExecutor
 from .history import SnapshotHistory
 from .plan import TrainingPlan
-from .resilience import RetryPolicy, collect_with_retries
+from .resilience import collect_with_retries
 from .selection import SelectionResult, TEESelector
 from .sharding import make_aggregation_tree
 from .transport import Channel, ClientUpdate, ModelDownload
 
 __all__ = ["FLServer"]
-
-_UNSET = object()
 
 
 class FLServer:
@@ -48,19 +45,13 @@ class FLServer:
         Protection policy the deployment mandates (server fixes the static
         set or the moving-window parameters, §7.2).
     config:
-        A :class:`~repro.fl.config.ServerConfig` — the supported way to
-        set admission, resilience, sampling-seed, and sharding behaviour.
+        A :class:`~repro.fl.config.ServerConfig` setting admission,
+        resilience, sampling-seed, and sharding behaviour.
     executor:
         Round executor deciding how client training is dispatched
         (default: the original sequential path).  Pass a
         :class:`~repro.fl.executor.ParallelRoundExecutor` to fan clients
         across a thread pool; aggregation results are identical either way.
-    allow_legacy / retry / reattest / seed:
-        Deprecated kwarg spellings of the corresponding
-        :class:`~repro.fl.config.ServerConfig` fields.  They still work —
-        mapped through :meth:`ServerConfig.from_legacy` — but emit a
-        :class:`DeprecationWarning`; pass ``config=`` instead.  Mixing the
-        legacy kwargs with ``config=`` is an error.
     """
 
     def __init__(
@@ -68,38 +59,10 @@ class FLServer:
         model: Sequential,
         plan: TrainingPlan,
         policy: Optional[ProtectionPolicy] = None,
-        allow_legacy=_UNSET,
-        executor: Optional[RoundExecutor] = None,
-        retry=_UNSET,
-        reattest=_UNSET,
-        seed=_UNSET,
         *,
+        executor: Optional[RoundExecutor] = None,
         config: Optional[ServerConfig] = None,
     ) -> None:
-        legacy = {
-            name: value
-            for name, value in (
-                ("allow_legacy", allow_legacy),
-                ("retry", retry),
-                ("reattest", reattest),
-                ("seed", seed),
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            if config is not None:
-                raise ValueError(
-                    "pass either config= or the legacy kwargs "
-                    f"({', '.join(sorted(legacy))}), not both"
-                )
-            warnings.warn(
-                "FLServer legacy kwargs "
-                f"({', '.join(sorted(legacy))}) are deprecated; "
-                "pass config=ServerConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = ServerConfig.from_legacy(**legacy)
         self.config = config or ServerConfig()
         self.model = model
         self.plan = plan

@@ -19,7 +19,6 @@ __all__ = [
     "BufferPlan",
     "GraphUnsupported",
     "VM",
-    "BatchedVM",
     "CompiledStep",
     "compile_model_step",
     "trace_callable",
@@ -42,7 +41,6 @@ _LOCATIONS = {
     "BufferPlan": "passes",
     "GraphUnsupported": "vm",
     "VM": "vm",
-    "BatchedVM": "vm",
     "CompiledStep": "vm",
     "compile_model_step": "vm",
     "trace_callable": "vm",

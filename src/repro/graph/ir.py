@@ -90,7 +90,7 @@ class Program:
         Value ids returned by :meth:`repro.graph.vm.VM.run`.
     shapes / dtypes:
         ``{value_id: shape/dtype-str}`` for ndarray values (``None`` entries
-        for auxiliary objects); used by liveness planning and batching.
+        for auxiliary objects); used by liveness planning.
     """
 
     def __init__(

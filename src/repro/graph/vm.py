@@ -1,19 +1,12 @@
-"""Graph VM: replays traced programs, sequentially or client-batched.
+"""Graph VM: replays traced programs.
 
-Three execution layers on top of :class:`~repro.graph.ir.Program`:
+Two execution layers on top of :class:`~repro.graph.ir.Program`:
 
 * :class:`VM` — binds every node to a numpy kernel and replays the list on
   fresh inputs, with liveness-driven value release and ``out=`` reuse of
   scratch slots from the :class:`~repro.graph.passes.BufferPlan`.  Each
   kernel reproduces its eager op bit-for-bit (most reuse the exact eager
   helper functions), so a VM step equals the eager step bitwise.
-* :class:`BatchedVM` — lifts a program along a leading *client* axis: the
-  placeholders marked batched receive ``(B,) + shape`` stacks and every op
-  is rewritten with an axis-lifting rule (elementwise ops run unchanged;
-  ``matmul`` loops per-slice through the same 2-D BLAS call eager uses, so
-  per-client results stay bitwise identical).  Ops with no safe lifting
-  rule raise :class:`GraphUnsupported` at construction time — callers fall
-  back to sequential execution.
 * :func:`compile_model_step` — the cached compile entry: trace one eager
   forward+backward of a model, run the pass pipeline, attach the buffer
   plan, and return a :class:`CompiledStep`.  Plans are cached per
@@ -24,7 +17,7 @@ Three execution layers on top of :class:`~repro.graph.ir.Program`:
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +34,6 @@ from .trace import Tape, TraceError, activate
 __all__ = [
     "GraphUnsupported",
     "VM",
-    "BatchedVM",
     "CompiledStep",
     "compile_model_step",
     "trace_callable",
@@ -359,180 +351,6 @@ class VM:
 
 
 # ----------------------------------------------------------------------
-# Batched VM
-# ----------------------------------------------------------------------
-
-def _per_client_ndim(program: Program, vid: int) -> int:
-    shape = program.shapes.get(vid)
-    if shape is None:
-        raise GraphUnsupported("auxiliary values cannot be batched")
-    return len(shape)
-
-
-class BatchedVM:
-    """Executes a program for B clients at once along a leading axis.
-
-    Parameters
-    ----------
-    program:
-        An (unfused) traced program.
-    batched_placeholders:
-        Positions (indices into ``program.placeholders``) whose inputs are
-        per-client stacks of shape ``(B,) + traced_shape``.  The remaining
-        placeholders are shared across clients, exactly as in the
-        sequential loop.
-
-    Construction lifts every node reachable from a batched input with an
-    op-specific rule; an op with no bitwise-safe rule raises
-    :class:`GraphUnsupported`, and callers fall back to per-client VMs.
-    """
-
-    def __init__(self, program: Program, batched_placeholders: Sequence[int]) -> None:
-        self.program = program
-        self.batched_positions = tuple(batched_placeholders)
-        batched = {program.placeholders[i] for i in self.batched_positions}
-        steps = []
-        for node in program.nodes:
-            in_flags = tuple(vid in batched for vid in node.inputs)
-            fn, out_batched = self._lift(node, in_flags)
-            if out_batched:
-                batched.update(node.outputs)
-            steps.append((fn, node.inputs, node.outputs))
-        self._steps = steps
-        self.batched_values = batched
-        template: List[Any] = [None] * program.n_values
-        for vid, value in program.constants.items():
-            template[vid] = value
-        self._template = template
-
-    # -- lifting rules -------------------------------------------------
-    def _lift(self, node: Node, in_flags: Tuple[bool, ...]):
-        program = self.program
-        op = node.op
-        if node.stateful or node.kernel is not None:
-            raise GraphUnsupported(f"stateful op {op!r} cannot be batched")
-        if not any(in_flags):
-            return _build_kernel(node)[0], False
-        if op in ELEMENTWISE:
-            # Unchanged kernel: numpy broadcasting aligns the unbatched
-            # operands against the trailing (per-client) axes, which matches
-            # the per-client computation bit-for-bit — provided no unbatched
-            # operand outranks a batched one.
-            batched_ndim = min(
-                _per_client_ndim(program, vid)
-                for vid, flag in zip(node.inputs, in_flags)
-                if flag
-            )
-            for vid, flag in zip(node.inputs, in_flags):
-                if not flag and _per_client_ndim(program, vid) > batched_ndim:
-                    raise GraphUnsupported(
-                        f"elementwise op {op!r} broadcasts an unbatched "
-                        "operand over leading axes; no safe lifting"
-                    )
-            return _elementwise_kernel(op, node.params)[0], True
-        if op == "fused":
-            raise GraphUnsupported("batch the unfused program, not the fused one")
-        if op == "broadcast_to":
-            shape = tuple(node.params["shape"])
-            return (lambda a: np.broadcast_to(a, (a.shape[0],) + shape).copy()), True
-        if op == "reshape":
-            shape = node.params["shape"]
-            shape = (shape,) if isinstance(shape, int) else tuple(shape)
-            return (lambda a: a.reshape((a.shape[0],) + shape).copy()), True
-        if op == "transpose":
-            axes = (0,) + tuple(ax + 1 for ax in node.params["axes"])
-            return (lambda a: np.transpose(a, axes).copy()), True
-        if op == "sum":
-            axis, keepdims = node.params["axis"], node.params["keepdims"]
-            ndim = _per_client_ndim(program, node.inputs[0])
-            if axis is None:
-                axes = tuple(range(1, ndim + 1))
-            else:
-                axes = tuple(ax + 1 for ax in axis)
-            return (
-                lambda a: np.asarray(a.sum(axis=axes, keepdims=keepdims))
-            ), True
-        if op == "rowmax":
-            return (lambda a: a.max(axis=2, keepdims=True)), True
-        if op == "getitem":
-            index = node.params["index"]
-            index = index if isinstance(index, tuple) else (index,)
-            lifted = (slice(None),) + index
-            return (lambda a: np.asarray(a[lifted]).copy()), True
-        if op == "scatter":
-            index = node.params["index"]
-            index = index if isinstance(index, tuple) else (index,)
-            lifted = (slice(None),) + index
-            shape = tuple(node.params["shape"])
-
-            def scatter(g):
-                data = np.zeros((g.shape[0],) + shape, dtype=g.dtype)
-                data[lifted] = g
-                return data
-
-            return scatter, True
-        if op == "concatenate":
-            if not all(in_flags):
-                raise GraphUnsupported("mixed batched/unbatched concatenate")
-            axis = node.params["axis"] + 1
-            return (lambda *args: np.concatenate(list(args), axis=axis)), True
-        if op == "matmul":
-            a_b, b_b = in_flags
-
-            def matmul(a, b):
-                # Per-slice 2-D products through the same BLAS call the
-                # sequential loop makes — stacked np.matmul is not
-                # guaranteed bit-identical to it, a per-slice loop is.
-                if a_b and b_b:
-                    rows = [a[i] @ b[i] for i in range(a.shape[0])]
-                elif a_b:
-                    rows = [a[i] @ b for i in range(a.shape[0])]
-                else:
-                    rows = [a @ b[i] for i in range(b.shape[0])]
-                return np.stack(rows)
-
-            return matmul, True
-        if op == "bmm":
-            a_b, b_b = in_flags
-
-            def bmm(a, b):
-                # Per-client 3-D products through the same np.matmul call the
-                # eager loop makes — a 4-D stacked matmul is not guaranteed
-                # bit-identical to it, a per-client loop is.
-                if a_b and b_b:
-                    rows = [np.matmul(a[i], b[i]) for i in range(a.shape[0])]
-                elif a_b:
-                    rows = [np.matmul(a[i], b) for i in range(a.shape[0])]
-                else:
-                    rows = [np.matmul(a, b[i]) for i in range(b.shape[0])]
-                return np.stack(rows)
-
-            return bmm, True
-        raise GraphUnsupported(f"op {op!r} has no batched lifting rule")
-
-    def run(self, inputs: Sequence[np.ndarray]) -> List[Any]:
-        """Execute for a stack of clients; batched inputs carry the leading
-        client axis."""
-        program = self.program
-        if len(inputs) != len(program.placeholders):
-            raise ValueError(
-                f"program expects {len(program.placeholders)} inputs, "
-                f"got {len(inputs)}"
-            )
-        values = list(self._template)
-        for vid, array in zip(program.placeholders, inputs):
-            values[vid] = array
-        for fn, in_vids, out_vids in self._steps:
-            result = fn(*[values[v] for v in in_vids])
-            if len(out_vids) == 1:
-                values[out_vids[0]] = result
-            else:
-                for vid, res in zip(out_vids, result):
-                    values[vid] = res
-        return [values[vid] for vid in program.outputs]
-
-
-# ----------------------------------------------------------------------
 # Tracing entry points
 # ----------------------------------------------------------------------
 
@@ -594,7 +412,7 @@ class CompiledStep:
         optimized: Program,
         param_index: List[Tuple[int, str]],
     ) -> None:
-        self.program = program  # unfused (batchable)
+        self.program = program  # unfused
         self.optimized = optimized  # DCE + fusion (fast sequential replay)
         self.param_index = list(param_index)
         self.buffer_plan = plan_buffers(optimized)

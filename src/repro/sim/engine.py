@@ -81,7 +81,6 @@ from ..fl.transport import ClientUpdate, ModelDownload
 from ..nn.model import Sequential, WeightsList
 from ..nn.serialize import (
     flatten_weights,
-    unflatten_weights,
     weights_from_bytes,
     weights_to_bytes,
 )
@@ -169,15 +168,6 @@ class SimConfig:
         arriving update (delta-norm ceiling; ``clip`` rescales instead of
         rejecting) and a reputation ledger quarantines repeat offenders
         out of future cohorts.
-    compile / client_batch:
-        Execution knobs (not deployment semantics — :meth:`FLSimulator.report`
-        omits them so compiled and eager runs report identical bytes).
-        ``compile`` routes pseudo-update production through a traced
-        :mod:`repro.graph` program replayed by the batched VM;
-        ``client_batch`` stacks that many cohort members per VM execution
-        along a leading client axis.  Per-client results are
-        bitwise-identical to the sequential eager loop for every batch
-        size.
     async_mode / buffer_size / staleness / staleness_exponent / concurrency:
         The FedBuff-style asynchronous pipeline.  ``async_mode`` replaces
         the round barrier with a stream of dispatches: up to
@@ -189,8 +179,7 @@ class SimConfig:
         late update is folded with weight
         :meth:`~repro.fl.config.BufferConfig.weight` of its staleness
         (``staleness`` picks the family, ``staleness_exponent`` the
-        polynomial decay) instead of being dropped.  ``compile`` is a
-        sync-only execution knob and is rejected in async mode.
+        polynomial decay) instead of being dropped.
     """
 
     num_clients: int
@@ -217,8 +206,6 @@ class SimConfig:
     num_byzantine: Optional[int] = None
     max_norm: Optional[float] = None
     clip: bool = False
-    compile: bool = False
-    client_batch: int = 1
     async_mode: bool = False
     buffer_size: Optional[int] = None
     staleness: str = "constant"
@@ -269,18 +256,12 @@ class SimConfig:
             raise ValueError("num_byzantine must be non-negative")
         if self.max_norm is not None and self.max_norm <= 0:
             raise ValueError("max_norm must be positive when set")
-        if self.client_batch < 1:
-            raise ValueError("client_batch must be >= 1")
-        if self.client_batch > 1 and not self.compile:
-            raise ValueError("client_batch > 1 requires compile=True")
         if self.buffer_size is None:
             object.__setattr__(self, "buffer_size", self.cohort)
         # BufferConfig validates size/kind/exponent on construction.
         self.buffer_config  # noqa: B018 — construction is the validation
         if self.concurrency is not None and self.concurrency < 1:
             raise ValueError("concurrency must be >= 1 when set")
-        if self.async_mode and self.compile:
-            raise ValueError("compile is a sync-only knob; not valid with async_mode")
 
     @property
     def asked(self) -> int:
@@ -332,6 +313,7 @@ class _RoundState:
 
     members: List[int]
     deadline_at: float
+    global_flat: np.ndarray
     tree: Optional[object] = None  # HierarchicalAggregator or robust variant
     positions: Dict[int, int] = field(default_factory=dict)
     dead_shards: frozenset = frozenset()
@@ -361,6 +343,43 @@ _COUNT_KEYS = (
 def _fresh_counts() -> Dict[str, int]:
     """One round's (or async commit window's) event tallies, zeroed."""
     return {key: 0 for key in _COUNT_KEYS}
+
+
+def _layout(template: WeightsList) -> tuple:
+    """Flat layout of a model's parameters.
+
+    Returns ``(perm, struct)``: the permutation taking an *items-order*
+    flat vector (the order the update noise is drawn in) onto
+    :func:`~repro.nn.serialize.flatten_weights`' sorted-key order, and per
+    layer the ``(key, start, stop, shape)`` slice of each parameter in the
+    sorted-order vector, listed in items order.
+    """
+    items_start: Dict[tuple, int] = {}
+    offset = 0
+    for i, layer in enumerate(template):
+        for key, value in layer.items():
+            items_start[(i, key)] = offset
+            offset += int(value.size)
+    perm_parts: List[np.ndarray] = []
+    sorted_span: Dict[tuple, tuple] = {}
+    offset = 0
+    for i, layer in enumerate(template):
+        for key in sorted(layer):
+            start, size = items_start[(i, key)], int(layer[key].size)
+            perm_parts.append(np.arange(start, start + size))
+            sorted_span[(i, key)] = (offset, offset + size)
+            offset += size
+    perm = (
+        np.concatenate(perm_parts) if perm_parts else np.zeros(0, dtype=np.int64)
+    )
+    struct = [
+        [
+            (key, *sorted_span[(i, key)], value.shape)
+            for key, value in layer.items()
+        ]
+        for i, layer in enumerate(template)
+    ]
+    return perm, struct
 
 
 class FLSimulator:
@@ -496,14 +515,12 @@ class FLSimulator:
         self.round = 0
         self.history: List[Dict[str, object]] = []
         self.resumed_from: Optional[int] = None
-        # Compiled update production (config.compile): per-round cache of
-        # (round, client) -> (trained weights, flat vector), the traced
-        # delta program + batched VM, the flat weight layout, and the
-        # once-per-run memoised update wire size (a pure function of the
-        # model structure, so one serialisation prices every upload).
-        self._update_cache: Dict[tuple, tuple] = {}
-        self._flat_layout: Optional[tuple] = None
-        self._delta_exec: Optional[tuple] = None
+        # Pseudo-update production: the parameters' flat layout, the
+        # teacher as one flat vector, and the once-per-run memoised update
+        # wire size (a pure function of the model structure, so one
+        # serialisation prices every upload).
+        self._perm, self._struct = _layout(initial)
+        self._teacher_flat = flatten_weights(self.teacher_weights)
         self._wire_size: Optional[int] = None
         if self.storage is not None:
             self._load_checkpoint()
@@ -516,206 +533,55 @@ class FLSimulator:
         )
         return sorted(int(i) for i in picked)
 
-    # -- compiled (batched) update production ------------------------------
-    def _layout(self) -> tuple:
-        """Flat layout of the model's parameters.
-
-        Returns ``(total, perm, sorted_pos)``: the parameter count, the
-        permutation taking an *items-order* flat vector (the order
-        :meth:`_make_update` draws noise in) onto
-        :func:`~repro.nn.serialize.flatten_weights`' sorted-key order, and
-        per-``(layer, key)`` offsets into the sorted-order vector.
-        """
-        if self._flat_layout is None:
-            template = self.model.get_weights()
-            items_pos: Dict[tuple, tuple] = {}
-            offset = 0
-            for i, layer in enumerate(template):
-                for key, value in layer.items():
-                    items_pos[(i, key)] = (offset, int(value.size))
-                    offset += int(value.size)
-            perm_parts: List[np.ndarray] = []
-            sorted_pos: Dict[tuple, int] = {}
-            sorted_offset = 0
-            for i, layer in enumerate(template):
-                for key in sorted(layer):
-                    start, size = items_pos[(i, key)]
-                    perm_parts.append(np.arange(start, start + size))
-                    sorted_pos[(i, key)] = sorted_offset
-                    sorted_offset += size
-            perm = (
-                np.concatenate(perm_parts)
-                if perm_parts
-                else np.zeros(0, dtype=np.int64)
-            )
-            struct = [
-                [
-                    (
-                        key,
-                        sorted_pos[(i, key)],
-                        sorted_pos[(i, key)] + int(value.size),
-                        value.shape,
-                    )
-                    for key, value in layer.items()
-                ]
-                for i, layer in enumerate(template)
-            ]
-            self._flat_layout = (offset, perm, sorted_pos, struct)
-        return self._flat_layout
-
-    def _delta_vm(self) -> tuple:
-        """The traced honest-delta program and its client-batched VM.
-
-        Traces ``drift * (teacher - global) + scale * noise`` once over
-        flat parameter vectors, then lifts the noise placeholder along a
-        leading client axis — elementwise throughout, so each batched row
-        equals the eager per-client arithmetic bitwise.
-        """
-        if self._delta_exec is None:
-            from ..autodiff.ops import add, mul, sub
-            from ..graph.vm import BatchedVM, trace_callable
-
-            total = self._layout()[0]
-            drift = self.config.drift
-            scale = self.config.update_scale
-
-            def delta_fn(global_flat, teacher_flat, noise):
-                return add(
-                    mul(sub(teacher_flat, global_flat), drift),
-                    mul(noise, scale),
-                )
-
-            with get_tracer().span(
-                "graph.compile", model="sim-update-delta", inputs=str((total,))
-            ):
-                program = trace_callable(
-                    delta_fn,
-                    [np.zeros(total), np.zeros(total), np.zeros(total)],
-                )
-            self._delta_exec = (program, BatchedVM(program, [2]))
-        return self._delta_exec
-
-    def _precompute_updates(
-        self, round_index: int, members: List[int], global_weights: WeightsList
-    ) -> None:
-        """Produce the cohort's pseudo-updates through the batched VM.
-
-        Bitwise-identical to per-client :meth:`_make_update`: one flat
-        ``standard_normal`` draw per client equals its per-parameter
-        chunked draws (the generator fills arrays sequentially from the
-        same bit stream), the traced program replays the eager arithmetic
-        elementwise, and attacks are applied per client on the sorted-order
-        flat delta exactly as the eager path flattens it.
-        """
-        cfg = self.config
-        total, perm, _, struct = self._layout()
-        _, vm = self._delta_vm()
-        global_flat = flatten_weights(global_weights)
-        teacher_flat = flatten_weights(self.teacher_weights)
-        batch = cfg.client_batch
-        seed = cfg.seed
-        cache = self._update_cache
-        attack_for = self.fault_plan.attack_for
-        with get_tracer().span(
-            "graph.execute",
-            program="sim-update-delta",
-            cycle=round_index,
-            clients=len(members),
-            batch=batch,
-        ):
-            for start in range(0, len(members), batch):
-                chunk = members[start : start + batch]
-                noise = np.empty((len(chunk), total))
-                for j, client in enumerate(chunk):
-                    # Generator(PCG64(SeedSequence(...))) is what
-                    # default_rng(...) builds, minus its dispatch overhead;
-                    # the bit stream — and every draw — is identical.
-                    rng = np.random.Generator(
-                        np.random.PCG64(
-                            np.random.SeedSequence(
-                                (seed, _STREAM_UPDATE, round_index, client)
-                            )
-                        )
-                    )
-                    noise[j] = rng.standard_normal(total)
-                deltas = vm.run([global_flat, teacher_flat, noise[:, perm]])[0]
-                # One broadcast add prices the whole chunk; each row is the
-                # same IEEE elementwise sum the eager path computes.
-                trained_mat = global_flat + deltas
-                for j, client in enumerate(chunk):
-                    if attack_for(client) is not None:
-                        flat = self.fault_plan.attack_delta(
-                            round_index, client, deltas[j]
-                        )
-                        trained_flat = global_flat + flat
-                    else:
-                        trained_flat = trained_mat[j]
-                    trained: WeightsList = [
-                        {
-                            key: trained_flat[s:e].reshape(shape)
-                            for key, s, e, shape in layer
-                        }
-                        for layer in struct
-                    ]
-                    cache[(round_index, client)] = (trained, trained_flat)
-
     def _make_update(
-        self, round_index: int, client_index: int, global_weights: WeightsList
+        self, key: int, client_index: int, global_flat: np.ndarray
     ) -> ClientUpdate:
         """The client's pseudo-trained update: drift toward the teacher
         plus seeded noise — and, for a Byzantine client, the attack applied
         to that honest delta *at production time* (so every retry re-sends
         the same poisoned bytes and deliveries are never re-perturbed).
 
-        Keyed on ``(seed, round, client)`` only, so a retried attempt
-        re-sends the exact same payload and resume replays it bitwise.
-        Under ``config.compile`` the payload comes from the round's
-        precomputed batch (same bytes; see :meth:`_precompute_updates`).
+        ``key`` is the round in sync mode and the dispatch index in async
+        mode; the payload is a pure function of ``(seed, key, client)`` and
+        the global model it trains from, so a retried attempt re-sends the
+        exact same payload and resume replays it bitwise.
         """
         cfg = self.config
-        cached = self._update_cache.get((round_index, client_index))
-        if cached is not None:
-            trained_cached, flat_cached = cached
-            update = ClientUpdate(
-                client_id=f"sim-{client_index}",
-                cycle=round_index,
-                num_samples=int(self.num_samples[client_index]),
-                plain_weights=trained_cached,
-                flat_weights=flat_cached,
+        # Generator(PCG64(SeedSequence(...))) is what default_rng(...)
+        # builds, minus its dispatch overhead.  The generator fills arrays
+        # sequentially from one bit stream, so a single flat draw equals
+        # per-parameter draws in items order; ``perm`` moves it into
+        # flatten_weights' sorted-key order.
+        rng = np.random.Generator(
+            np.random.PCG64(
+                np.random.SeedSequence(
+                    (cfg.seed, _STREAM_UPDATE, key, client_index)
+                )
             )
-            # The npz wire size is a pure function of the weight structure:
-            # serialise once per run, stamp every later update with it.
-            if self._wire_size is None:
-                self._wire_size = update.wire_bytes()
-            else:
-                update._wire_cache = self._wire_size
-            return update
-        rng = np.random.default_rng(
-            (cfg.seed, _STREAM_UPDATE, round_index, client_index)
         )
-        delta: WeightsList = [
-            {
-                key: cfg.drift * (self.teacher_weights[i][key] - value)
-                + cfg.update_scale * rng.standard_normal(value.shape)
-                for key, value in layer.items()
-            }
-            for i, layer in enumerate(global_weights)
-        ]
-        if self.fault_plan.attack_for(client_index) is not None:
-            flat = self.fault_plan.attack_delta(
-                round_index, client_index, flatten_weights(delta)
-            )
-            delta = unflatten_weights(flat, global_weights)
-        trained: WeightsList = [
-            {key: value + delta[i][key] for key, value in layer.items()}
-            for i, layer in enumerate(global_weights)
-        ]
-        return ClientUpdate(
+        noise = rng.standard_normal(self._perm.size)[self._perm]
+        pull = (self._teacher_flat - global_flat) * cfg.drift
+        delta = pull + noise * cfg.update_scale
+        delta = self.fault_plan.attack_delta(key, client_index, delta)
+        trained_flat = global_flat + delta
+        update = ClientUpdate(
             client_id=f"sim-{client_index}",
-            cycle=round_index,
+            cycle=key,
             num_samples=int(self.num_samples[client_index]),
-            plain_weights=trained,
+            plain_weights=[
+                {
+                    name: trained_flat[start:stop].reshape(shape)
+                    for name, start, stop, shape in layer
+                }
+                for layer in self._struct
+            ],
+            flat_weights=trained_flat,
         )
+        if self._wire_size is None:
+            self._wire_size = update.wire_bytes()
+        else:
+            update._wire_cache = self._wire_size
+        return update
 
     def accuracy(self) -> float:
         """Global-model accuracy on the teacher-labelled eval set."""
@@ -763,8 +629,6 @@ class FLSimulator:
                         "sim.quarantined",
                         "cohort slots denied to quarantined/evicted clients",
                     ).inc(len(quarantined))
-            if cfg.compile:
-                self._precompute_updates(rnd, members, global_weights)
             dead_shards = frozenset(
                 shard
                 for shard in range(cfg.shards)
@@ -777,6 +641,7 @@ class FLSimulator:
             state = _RoundState(
                 members=members,
                 deadline_at=started_at + cfg.deadline_seconds,
+                global_flat=flatten_weights(global_weights),
                 tree=make_aggregation_tree(
                     global_weights,
                     ShardingConfig(num_shards=cfg.shards, track_memory=False),
@@ -921,7 +786,6 @@ class FLSimulator:
         }
         self.history.append(outcome)
         self.round += 1
-        self._update_cache.clear()
         self._save_checkpoint()
         return outcome
 
@@ -963,7 +827,7 @@ class FLSimulator:
             )
             return
 
-        update = self._make_update(rnd, index, global_weights)
+        update = self._make_update(rnd, index, state.global_flat)
         upload_t = self.network.transfer_seconds(index, update.wire_bytes())
         # Multiplying by the exact 1.0 a healthy client gets is a bitwise
         # no-op, so routing the straggler slow-down through the plan keeps
@@ -1391,7 +1255,9 @@ class FLSimulator:
         dispatch = int(entry["dispatch"])
         version = int(entry["version"])
         counts = self._window["counts"]
-        update = self._make_update(dispatch, client, self._version_weights[version])
+        update = self._make_update(
+            dispatch, client, flatten_weights(self._version_weights[version])
+        )
         weights = update.plain_weights
         if self.admission is not None:
             # The production gate, against the model version the client
@@ -1725,15 +1591,10 @@ class FLSimulator:
             totals["staleness_max"] = max(
                 (int(o["staleness_max"]) for o in self.history), default=0
             )
-        config = asdict(self.config)
-        # Execution knobs, not deployment semantics: a compiled/batched run
-        # must report the same bytes as the eager loop it reproduces.
-        for knob in ("compile", "client_batch"):
-            config.pop(knob, None)
         return {
             "schema": REPORT_SCHEMA_VERSION,
             "mode": "async" if self.config.async_mode else "sync",
-            "config": config,
+            "config": asdict(self.config),
             "fault_plan": self.fault_plan.describe(),
             "rounds": self.history,
             "totals": totals,

@@ -25,15 +25,6 @@ class TestParser:
         args = build_parser().parse_args(["table5", "--rounds", "12"])
         assert args.rounds == 12
 
-    def test_cycles_is_hidden_alias_of_rounds(self):
-        args = build_parser().parse_args(["table5", "--cycles", "12"])
-        assert args.rounds == 12
-        # The alias never shadows the canonical default...
-        assert build_parser().parse_args(["table5"]).rounds == 36
-        # ...and stays out of --help.
-        table5 = build_parser()._subparsers._group_actions[0].choices["table5"]
-        assert "--cycles" not in table5.format_help()
-
     def test_shared_flags_spelled_identically(self):
         parser = build_parser()
         subs = parser._subparsers._group_actions[0].choices
@@ -50,6 +41,68 @@ class TestParser:
             help_text = subs[name].format_help()
             for flag in flags:
                 assert flag in help_text, f"{name} missing {flag}"
+
+
+def _subcommands_with_out():
+    subs = build_parser()._subparsers._group_actions[0].choices
+    return sorted(
+        name for name, sub in subs.items() if "--out" in sub._option_string_actions
+    )
+
+
+class TestCleanFailures:
+    """Bad arguments exit 2 with one ``error:`` line, before any work."""
+
+    def test_every_result_writing_subcommand_is_covered(self):
+        assert {"perf", "serve", "simulate", "table5", "trace"} <= set(
+            _subcommands_with_out()
+        )
+
+    @pytest.mark.parametrize("command", _subcommands_with_out())
+    def test_out_in_missing_directory_exits_2(self, command, tmp_path, capsys):
+        out = tmp_path / "missing" / "result.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--out", str(out)])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"repro {command}: error: argument --out: "
+            f"directory {out.parent} does not exist"
+        ]
+        assert not out.parent.exists()
+
+    def test_out_naming_a_directory_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table6", "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-1", "two"])
+    def test_perf_workers_must_be_positive(self, workers, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["perf", "--workers", workers])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro perf: error: argument --workers:")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--clients", "8", "--rounds", "1", "--out", "{missing}"),
+            ("perf", "--quick", "--workers", "0"),
+        ],
+    )
+    def test_child_process_has_no_traceback(self, argv, tmp_path, spawn_repro):
+        missing = str(tmp_path / "missing" / "report.json")
+        result = spawn_repro(
+            *(arg.format(missing=missing) for arg in argv), check=False
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+        assert "error:" in result.stderr
 
 
 class TestCommands:

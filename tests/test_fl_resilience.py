@@ -12,7 +12,9 @@ from repro.fl import (
     FLClient,
     FLServer,
     RetryPolicy,
+    RoundConfig,
     SequentialRoundExecutor,
+    ServerConfig,
     TrainingPlan,
     collect_with_retries,
 )
@@ -21,7 +23,7 @@ from repro.nn import mlp
 NUM_CLASSES = 4
 
 
-def build_deployment(clients=3, seed=0, **server_kwargs):
+def build_deployment(clients=3, seed=0, retry=None, reattest=True):
     dataset = synthetic_cifar(
         num_samples=32 * clients, num_classes=NUM_CLASSES, shape=(3, 8, 8), seed=seed
     )
@@ -30,7 +32,12 @@ def build_deployment(clients=3, seed=0, **server_kwargs):
         num_classes=NUM_CLASSES, input_shape=(3, 8, 8), hidden=(8,), seed=7
     )
     plan = TrainingPlan(lr=0.1, batch_size=8, local_steps=1)
-    server = FLServer(make_model(), plan, NoProtection(2), **server_kwargs)
+    server = FLServer(
+        make_model(),
+        plan,
+        NoProtection(2),
+        config=ServerConfig(round=RoundConfig(retry=retry, reattest=reattest)),
+    )
     fl_clients = [
         FLClient(f"client-{i}", shards[i], make_model(), seed=i)
         for i in range(clients)

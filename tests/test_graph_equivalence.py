@@ -3,8 +3,7 @@
 Every assertion here is exact (``np.array_equal``, not allclose): the graph
 VM replays the same numpy kernels on the same bits in the same order, so
 compiled execution must agree with eager execution bit for bit — across the
-model zoo, under fused conv, through double-backward traces, and between
-batched and sequential client execution.
+model zoo, under fused conv, and through double-backward traces.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.autodiff import functional as F
-from repro.graph.vm import VM, BatchedVM, compile_model_step, trace_callable
+from repro.graph.vm import VM, compile_model_step, trace_callable
 from repro.nn import SGD, alexnet, lenet5, mlp, one_hot
 from repro.obs import fresh
 
@@ -184,38 +183,3 @@ class TestDoubleBackward:
         x_t = Tensor(x.copy(), requires_grad=True)
         eager = second_order(x_t).data
         np.testing.assert_array_equal(traced, eager)
-
-
-class TestBatchedExecution:
-    @given(
-        width=st.integers(1, 40),
-        batch=st.integers(1, 9),
-        seed=st.integers(0, 2**16),
-    )
-    def test_batched_rows_equal_sequential_runs(self, width, batch, seed):
-        from repro.autodiff.ops import add, mul, sub
-
-        def delta(global_flat, noise):
-            return add(mul(sub(global_flat, noise), 0.2), mul(noise, 0.05))
-
-        program = trace_callable(delta, [np.zeros(width)] * 2)
-        rng = np.random.default_rng(seed)
-        global_flat = rng.normal(size=(width,))
-        noise = rng.normal(size=(batch, width))
-
-        batched = BatchedVM(program, [1]).run([global_flat, noise])[0]
-        assert batched.shape == (batch, width)
-        vm = VM(program)
-        for row in range(batch):
-            expected = vm.run([global_flat, noise[row]])[0]
-            np.testing.assert_array_equal(batched[row], expected)
-
-    def test_short_final_chunk_needs_no_padding(self):
-        from repro.autodiff.ops import mul
-
-        program = trace_callable(lambda n: mul(n, 3.0), [np.zeros(7)])
-        bvm = BatchedVM(program, [0])
-        full = bvm.run([np.ones((8, 7))])[0]
-        short = bvm.run([np.ones((3, 7))])[0]
-        assert full.shape == (8, 7) and short.shape == (3, 7)
-        np.testing.assert_array_equal(short, np.full((3, 7), 3.0))

@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro import api
-from repro.sim import FaultRates, SimConfig
+from repro.sim import FaultRates
 from repro.tee.storage import InMemoryBackend, SecureStorage
 
 pytestmark = [getattr(pytest.mark, "async")]  # "async" is a keyword
@@ -36,10 +36,6 @@ FAULTS = FaultRates(dropout=0.1, straggler=0.2)
 
 
 class TestConfigGuards:
-    def test_compile_is_rejected_in_async_mode(self):
-        with pytest.raises(ValueError, match="compile"):
-            SimConfig(num_clients=10, rounds=1, async_mode=True, compile=True)
-
     def test_step_round_is_rejected_in_async_mode(self, sim_factory):
         with sim_factory(**ASYNC) as sim:
             with pytest.raises(RuntimeError, match="async"):

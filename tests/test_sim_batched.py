@@ -1,41 +1,26 @@
-"""Batched/compiled simulator execution: byte-identity with the eager path."""
+"""Simulator reports pinned to the former compiled/batched update path.
+
+The simulator once had a second update producer that ran the pseudo-update
+on a batched graph VM (``compile=True, client_batch=B``).  It was deleted in
+favour of the single flat producer; these digests are the sha256 of the
+``sort_keys`` report JSON that path produced at each client batch size, on
+the case matrix it was checked against.  The single path must keep
+reproducing them byte for byte.
+"""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from repro.api import simulate
-from repro.cli import main
-from repro.sim import SimConfig
 
 
-def _report_json(**kwargs) -> str:
-    return json.dumps(simulate(**kwargs), sort_keys=True)
-
-
-class TestConfigValidation:
-    def test_client_batch_must_be_positive(self):
-        with pytest.raises(ValueError, match="client_batch"):
-            SimConfig(num_clients=4, rounds=1, client_batch=0)
-
-    def test_client_batch_requires_compile(self):
-        with pytest.raises(ValueError, match="requires compile"):
-            SimConfig(num_clients=4, rounds=1, client_batch=8)
-
-    def test_compiled_config_accepted(self):
-        cfg = SimConfig(num_clients=4, rounds=1, compile=True, client_batch=8)
-        assert cfg.compile and cfg.client_batch == 8
-
-    def test_execution_knobs_stay_out_of_the_report(self):
-        """compile/client_batch are execution knobs, not deployment
-        semantics: the report's config block must not mention them, so
-        compiled and eager reports stay byte-comparable."""
-        report = simulate(clients=8, rounds=1, seed=0, compile=True)
-        assert "compile" not in report["config"]
-        assert "client_batch" not in report["config"]
-        assert report["config"]["num_clients"] == 8
+def _report_sha(**kwargs) -> str:
+    report = json.dumps(simulate(**kwargs), sort_keys=True)
+    return hashlib.sha256(report.encode()).hexdigest()
 
 
 class TestByteIdentity:
@@ -64,95 +49,19 @@ class TestByteIdentity:
             straggler=0.1,
         ),
     ]
+    # (client_batch, case) -> report digest of the compiled/batched run.
+    COMPILED = {
+        (batch, 0): "56b7d392c72ded007e31bc74e70a96a1ef30ab210dfce488606ce9ad45b2161a"
+        for batch in (1, 8, 64)
+    } | {
+        (batch, 1): "67b357605cfe7f3e2abba7e30849150c1c6627f1b1f8718480a4f5db83bbba18"
+        for batch in (1, 8, 64)
+    } | {
+        (batch, 2): "903c76e78dba06df0cf4ec2d0be5d19c914413f2099bfc980245d2dadabd98a8"
+        for batch in (1, 8, 64)
+    }
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     @pytest.mark.parametrize("batch", [1, 8, 64])
     def test_compiled_report_identical(self, case, batch):
-        kwargs = self.CASES[case]
-        eager = _report_json(**kwargs)
-        compiled = _report_json(**kwargs, compile=True, client_batch=batch)
-        assert eager == compiled
-
-    def test_weights_sha_identical_with_metrics(self):
-        kwargs = dict(clients=32, rounds=2, seed=3, cohort=12)
-        eager = simulate(**kwargs, include_metrics=True)
-        compiled = simulate(
-            **kwargs, compile=True, client_batch=8, include_metrics=True
-        )
-        assert eager["weights_sha256"] == compiled["weights_sha256"]
-        assert json.dumps(eager["metrics"], sort_keys=True) == json.dumps(
-            compiled["metrics"], sort_keys=True
-        )
-
-
-class TestCli:
-    ARGS = [
-        "simulate",
-        "--clients", "64",
-        "--rounds", "2",
-        "--seed", "5",
-        "--dropout", "0.1",
-        "--straggler", "0.1",
-    ]
-
-    def test_cli_output_byte_identical(self, tmp_path):
-        eager = tmp_path / "eager.json"
-        compiled = tmp_path / "compiled.json"
-        assert main([*self.ARGS, "--out", str(eager)]) == 0
-        assert main([
-            *self.ARGS, "--compile", "--client-batch", "64",
-            "--out", str(compiled),
-        ]) == 0
-        assert eager.read_bytes() == compiled.read_bytes()
-
-    def test_compiled_checkpoint_resume_matches_eager(self, tmp_path):
-        """A compiled run killed after 2 of 3 rounds and resumed (still
-        compiled) ends with the same bytes as an uninterrupted eager run."""
-        full = tmp_path / "full.json"
-        assert main([
-            "simulate", "--clients", "64", "--rounds", "3", "--seed", "9",
-            "--out", str(full),
-        ]) == 0
-        state = tmp_path / "state"
-        partial = tmp_path / "partial.json"
-        assert main([
-            "simulate", "--clients", "64", "--rounds", "2", "--seed", "9",
-            "--compile", "--client-batch", "16",
-            "--state-dir", str(state), "--out", str(partial),
-        ]) == 0
-        resumed = tmp_path / "resumed.json"
-        assert main([
-            "simulate", "--clients", "64", "--rounds", "3", "--seed", "9",
-            "--compile", "--client-batch", "16",
-            "--state-dir", str(state), "--out", str(resumed),
-        ]) == 0
-        resumed_payload = json.loads(resumed.read_text())
-        full_payload = json.loads(full.read_text())
-        assert resumed_payload["resumed_from_round"] == 2
-        assert (
-            resumed_payload["weights_sha256"] == full_payload["weights_sha256"]
-        )
-        assert resumed_payload["rounds"] == full_payload["rounds"]
-
-    def test_client_batch_without_compile_rejected(self):
-        with pytest.raises(ValueError, match="requires compile"):
-            main([*self.ARGS, "--client-batch", "8"])
-
-
-class TestUpdateCacheLifecycle:
-    def test_cache_cleared_between_rounds(self):
-        from repro.obs import VirtualClock, fresh
-        from repro.sim import FLSimulator
-
-        cfg = SimConfig(
-            num_clients=16,
-            rounds=2,
-            seed=1,
-            cohort=8,
-            compile=True,
-            client_batch=4,
-        )
-        with fresh(clock=VirtualClock()) as ctx:
-            sim = FLSimulator(cfg, clock=ctx.clock)
-            sim.run()
-            assert sim._update_cache == {}
+        assert _report_sha(**self.CASES[case]) == self.COMPILED[batch, case]
