@@ -9,9 +9,8 @@ on demand:
 
 * :meth:`Workspace.checkout` pops a cached buffer (or allocates on miss).
   A checked-out buffer is owned exclusively by the caller — it is *not* in
-  the free-list — which makes the cache safe under the thread-parallel FL
-  round executor: two clients training concurrently simply check out
-  distinct buffers.
+  the free-list — which makes the cache thread-safe: two clients training
+  concurrently simply check out distinct buffers.
 * :meth:`Workspace.release` returns a buffer to the free-list for reuse by
   the next step with the same shape.  Dropping a buffer without releasing
   it is always safe (it is garbage-collected; the pool just re-allocates).

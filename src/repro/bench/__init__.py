@@ -10,13 +10,9 @@ from .experiments import (
     simulate_fl_for_dpia,
     v_mw_search,
 )
-from .perf import bench_conv_step, bench_fl_round, run_perf_suite
 from .tables import format_comparison, layers_label, print_table
 
 __all__ = [
-    "bench_conv_step",
-    "bench_fl_round",
-    "run_perf_suite",
     "ExperimentRow",
     "dria_experiment",
     "mia_experiment",

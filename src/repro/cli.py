@@ -12,8 +12,9 @@ Usage::
 
 Every subcommand spells the shared knobs the same way: ``--seed``,
 ``--clients``, ``--rounds``, ``--out``.  Errors caught while parsing,
-including an ``--out`` path that cannot be written, exit with status 2
-and a one-line ``error:`` message before any work starts.
+including an ``--out`` path that cannot be written or a ``simulate``
+configuration value out of range, exit with status 2 and a one-line
+``error:`` message before any work starts.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from .bench.experiments import (
     DPIA_BEST_V_MW,
@@ -391,51 +392,78 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     a seed-derived storage key), so a killed run can be re-invoked and
     resumes where it stopped.  With ``--shards N`` updates are folded
     through a hierarchical aggregation tree of N shard aggregators whose
-    memory stays O(model size) regardless of fleet size; the global
-    weights are bitwise-identical to the flat path.  With ``--async`` the
-    round barrier is replaced by the FedBuff-style buffered pipeline:
-    commits fire every ``--buffer-size`` admitted updates and stale
-    arrivals fold in under the ``--staleness`` weighting — same
-    determinism guarantees, including mid-buffer kill/resume.
+    memory stays O(model size) regardless of fleet size.  The global
+    weights are bitwise-identical to the flat path for every rule but sync
+    ``trimmed_mean``, which with 2 or more shards streams the exact,
+    correctly rounded trimmed mean instead of calling the pure rule.  With
+    ``--async`` the round barrier is replaced by the FedBuff-style
+    buffered pipeline: commits fire every ``--buffer-size`` admitted
+    updates and stale arrivals fold in under the ``--staleness``
+    weighting — same determinism guarantees, including mid-buffer
+    kill/resume.  An async run that stalls (every client quarantined or
+    busy, nothing buffered) exits 1 with one ``error:`` line.
     """
     import hashlib
 
     from .obs import VirtualClock, fresh
-    from .sim import FLSimulator, FaultPlan, FaultRates, SimConfig
+    from .sim import FLSimulator, FaultPlan, FaultRates, SimConfig, SimulationStalled
     from .tee.storage import ReeFsBackend, SecureStorage
 
-    config = SimConfig(
-        num_clients=args.clients,
-        rounds=args.rounds,
-        seed=args.seed,
-        cohort=args.cohort,
-        overprovision=args.overprovision,
-        quorum=args.quorum,
-        deadline_seconds=args.deadline,
-        shards=args.shards,
-        byzantine=args.byzantine,
-        attack=args.attack,
-        attack_strength=args.attack_strength,
-        rule=args.rule,
-        trim=args.trim,
-        num_byzantine=args.num_byzantine,
-        max_norm=args.max_norm,
-        clip=args.clip,
-        drift=args.drift,
-        update_scale=args.update_scale,
-        async_mode=args.async_mode,
-        buffer_size=args.buffer_size,
-        staleness=args.staleness,
-        staleness_exponent=args.staleness_exponent,
-        concurrency=args.concurrency,
-    )
-    rates = FaultRates(
-        dropout=args.dropout,
-        straggler=args.straggler,
-        corrupt=args.corrupt,
-        pool_exhaust=args.pool_exhaust,
-        attestation=args.attestation,
-    )
+    try:
+        config = SimConfig(
+            num_clients=args.clients,
+            rounds=args.rounds,
+            seed=args.seed,
+            cohort=args.cohort,
+            overprovision=args.overprovision,
+            quorum=args.quorum,
+            deadline_seconds=args.deadline,
+            shards=args.shards,
+            byzantine=args.byzantine,
+            attack=args.attack,
+            attack_strength=args.attack_strength,
+            rule=args.rule,
+            trim=args.trim,
+            num_byzantine=args.num_byzantine,
+            max_norm=args.max_norm,
+            clip=args.clip,
+            drift=args.drift,
+            update_scale=args.update_scale,
+            async_mode=args.async_mode,
+            buffer_size=args.buffer_size,
+            staleness=args.staleness,
+            staleness_exponent=args.staleness_exponent,
+            concurrency=args.concurrency,
+        )
+        rates = FaultRates(
+            dropout=args.dropout,
+            straggler=args.straggler,
+            corrupt=args.corrupt,
+            pool_exhaust=args.pool_exhaust,
+            attestation=args.attestation,
+        )
+        fault_plan = FaultPlan(
+            rates,
+            seed=args.seed,
+            shard_down=args.shard_down,
+            byzantine=args.byzantine,
+            attack=args.attack,
+            attack_strength=args.attack_strength,
+        )
+        model = _zoo_model(args.model, seed=args.seed) if args.model else None
+        policy = None
+        if args.policy:
+            from .nn import mlp
+
+            # The policy needs the layout of whatever model the simulator
+            # will run, so replicate its default when --model wasn't given.
+            target = model or mlp(
+                num_classes=4, input_shape=(6,), hidden=(8, 5), seed=args.seed
+            )
+            policy = policy_from_spec(args.policy, target.layout(), seed=args.seed)
+    except ValueError as exc:
+        _fail("simulate", exc, status=2)
+
     storage = None
     if args.state_dir:
         import os
@@ -450,35 +478,19 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
             counters_path=os.path.join(args.state_dir, "counters.json"),
         )
 
-    model = _zoo_model(args.model, seed=args.seed) if args.model else None
-    policy = None
-    if args.policy:
-        from .nn import mlp
-
-        # The policy needs the layout of whatever model the simulator will
-        # run, so replicate its default when --model wasn't given.
-        target = model or mlp(
-            num_classes=4, input_shape=(6,), hidden=(8, 5), seed=args.seed
-        )
-        policy = policy_from_spec(args.policy, target.layout(), seed=args.seed)
-
     with fresh(clock=VirtualClock()) as ctx:
         simulator = FLSimulator(
             config,
             model=model,
             policy=policy,
-            fault_plan=FaultPlan(
-                rates,
-                seed=args.seed,
-                shard_down=args.shard_down,
-                byzantine=args.byzantine,
-                attack=args.attack,
-                attack_strength=args.attack_strength,
-            ),
+            fault_plan=fault_plan,
             storage=storage,
             clock=ctx.clock,
         )
-        report = simulator.run()
+        try:
+            report = simulator.run()
+        except SimulationStalled as exc:
+            _fail("simulate", exc, status=1)
         report["metrics"] = ctx.registry.snapshot()
     payload = {"schema": 1, "command": "simulate", **report}
     text = json.dumps(payload, indent=2, sort_keys=True)
@@ -598,44 +610,6 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         print(text)
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from .bench.perf import compare_payloads, run_perf_suite
-
-    payload = run_perf_suite(
-        quick=args.quick,
-        max_workers=args.workers,
-        num_clients=args.clients,
-        progress=print,
-    )
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.out}")
-    if args.compare:
-        with open(args.compare) as handle:
-            baseline = json.load(handle)
-        rows = compare_payloads(payload, baseline, threshold=args.threshold)
-        regressed = [row for row in rows if row["regressed"]]
-        print(
-            f"comparing against {args.compare} "
-            f"(threshold {args.threshold:.0%}):"
-        )
-        for row in rows:
-            flag = "REGRESSION" if row["regressed"] else "ok"
-            print(
-                f"  {row['metric']:<28} baseline {row['baseline']:.4g} "
-                f"-> current {row['current']:.4g} "
-                f"({row['regression_fraction']:+.1%} worse) {flag}"
-            )
-        if regressed:
-            print(f"{len(regressed)} tracked metric(s) regressed > "
-                  f"{args.threshold:.0%}")
-            return 1
-        print("no tracked metric regressed")
-    return 0
-
-
 _COMMANDS = {
     "table5": (_cmd_table5, "DPIA AUC, static vs dynamic GradSec"),
     "table6": (_cmd_table6, "CPU time and TEE memory per configuration"),
@@ -651,7 +625,6 @@ def _cmd_list(args: argparse.Namespace) -> None:
     print("available experiments:")
     for name, (_, description) in _COMMANDS.items():
         print(f"  {name:<8} {description}")
-    print(f"  {'perf':<8} fused-kernel and parallel-round microbenchmarks")
     print(f"  {'trace':<8} deterministic FL-round trace + metrics as JSON")
     print(f"  {'simulate':<8} event-driven FL fleet simulation with fault injection")
     print(f"  {'serve':<8} multi-tenant coordinator service under synthetic load")
@@ -675,15 +648,10 @@ def _out_path(value: str) -> str:
     return value
 
 
-def _positive_int(value: str) -> int:
-    """argparse type for counts that must be at least 1."""
-    try:
-        number = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not an integer") from None
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
-    return number
+def _fail(command: str, message: object, status: int) -> NoReturn:
+    """Exit with one ``repro <command>: error: <message>`` line on stderr."""
+    sys.stderr.write(f"repro {command}: error: {message}\n")
+    raise SystemExit(status)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -740,35 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="also run the multi-cycle DPIA pipeline per policy",
             )
-    perf = subparsers.add_parser(
-        "perf", help="fused-kernel and parallel-round microbenchmarks"
-    )
-    perf.add_argument("--quick", action="store_true", help="smoke configuration")
-    perf.add_argument(
-        "--workers", type=_positive_int, default=4, help="executor width"
-    )
-    perf.add_argument(
-        "--clients", type=int, default=8, help="FL participants in round benchmarks"
-    )
-    perf.add_argument(
-        "--out",
-        type=_out_path,
-        default=None,
-        help="write BENCH_kernels JSON here",
-    )
-    perf.add_argument(
-        "--compare",
-        default=None,
-        metavar="BASELINE",
-        help="compare against a previous BENCH_kernels JSON; exit non-zero "
-        "when any tracked metric regresses past --threshold",
-    )
-    perf.add_argument(
-        "--threshold",
-        type=float,
-        default=0.20,
-        help="relative regression tolerance for --compare (default 0.20)",
-    )
     trace = subparsers.add_parser(
         "trace", help="deterministic FL-round trace + metrics as JSON"
     )
@@ -1087,8 +1026,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "list":
         _cmd_list(args)
         return 0
-    if args.command == "perf":
-        return _cmd_perf(args)
     if args.command == "trace":
         _cmd_trace(args)
         return 0

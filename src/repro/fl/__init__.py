@@ -23,7 +23,7 @@ from .client import FLClient
 from .compression import SparseUpdate, TopKCompressor, weighted_sparse_mean
 from .config import BufferConfig, RoundConfig, ServerConfig, ShardingConfig
 from .dp import GaussianMechanism, clip_by_norm
-from .executor import ParallelRoundExecutor, RoundExecutor, SequentialRoundExecutor
+from .executor import SequentialRoundExecutor
 from .history import SnapshotHistory
 from .metrics import RoundRecord, TrainingMonitor
 from .plan import TrainingPlan
@@ -55,7 +55,7 @@ from .transport import Channel, ClientUpdate, ModelDownload
 
 __all__ = [
     "FLServer", "FLClient", "TrainingPlan",
-    "RoundExecutor", "SequentialRoundExecutor", "ParallelRoundExecutor",
+    "SequentialRoundExecutor",
     "RetryPolicy", "collect_with_retries",
     "fedavg", "merge_plain_and_sealed",
     "CompensatedAccumulator", "StreamingWeightedSum",

@@ -83,9 +83,10 @@ class ShardingConfig:
     ----------
     num_shards:
         Leaf aggregators between clients and the root.  ``1`` is the flat
-        topology (a single shard *is* the root); the aggregate is bitwise
-        identical for every value because the streaming reduce is exact
-        (see :mod:`repro.fl.aggregation`).
+        topology (a single shard *is* the root).  Under fedavg the
+        aggregate is bitwise identical for every value because the
+        streaming reduce is exact (see :mod:`repro.fl.aggregation`); for
+        the robust rules see :func:`repro.fl.sharding.make_aggregation_tree`.
     track_memory:
         Publish per-shard ``fl.shard.bytes.live`` / ``.peak`` gauges on
         every fold (cheap, but measurable at 10^5 clients — switchable).

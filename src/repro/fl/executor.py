@@ -1,51 +1,39 @@
-"""Round executors: how the server fans client training across resources.
+"""Round executor: how the server dispatches client training in a round.
 
 In the real deployment every FL participant is a separate TrustZone phone
-training concurrently; the seed simulator nevertheless ran clients one at a
-time inside :meth:`FLServer.run_cycle`.  This module factors that choice
-out into an executor object:
-
-* :class:`SequentialRoundExecutor` — the original behaviour (and default).
-* :class:`ParallelRoundExecutor` — fans ``client.run_cycle`` across a
-  ``concurrent.futures.ThreadPoolExecutor`` with a ``max_workers`` knob.
-
-Determinism is preserved by construction: the server prepares all model
-downloads *before* dispatch (they only read the frozen global weights), and
-updates are collected in participant order regardless of completion order,
-so FedAvg aggregates bitwise-identical inputs in a bitwise-identical order.
-Client state is fully per-client (model, RNG, secure storage, enclave), and
-the shared kernel workspace hands out exclusive buffers under a lock, so
-threads never alias training state.
-
-Threads are the right pool type here: the heavy lifting is BLAS GEMMs in
-the fused kernels, which release the GIL, and client objects (locks,
-closures, enclave handles) are not picklable for a process pool.
+training concurrently; the simulator runs clients one at a time inside
+:meth:`FLServer.run_cycle`, in participant order, through
+:class:`SequentialRoundExecutor`.  The executor is the seam the server's
+retry logic (:meth:`~SequentialRoundExecutor.map_settled`) and the
+benchmark's per-client timing (a subclass overriding ``map``) hook into.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from ..obs import get_clock, get_registry
 
-__all__ = ["RoundExecutor", "SequentialRoundExecutor", "ParallelRoundExecutor"]
+__all__ = ["SequentialRoundExecutor"]
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-class RoundExecutor:
-    """Strategy interface: run one unit of client work per item."""
-
-    #: label under which this executor reports ``fl.executor.*`` metrics
-    kind = "base"
+class SequentialRoundExecutor:
+    """Run one unit of client work per item, in the calling thread."""
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
         """Apply ``fn`` to every item, returning results in item order."""
-        raise NotImplementedError
+        clock = get_clock()
+        results: List[R] = []
+        durations: List[float] = []
+        for item in items:
+            task_start = clock.now()
+            results.append(fn(item))
+            durations.append(clock.now() - task_start)
+        self._account(durations)
+        return results
 
     def map_settled(
         self, fn: Callable[[T], R], items: Sequence[T]
@@ -66,110 +54,23 @@ class RoundExecutor:
 
         return self.map(settle, items)
 
-    def _account(self, durations: List[float], wall: float, workers: int) -> None:
-        """Publish dispatch metrics: task count, pool width, utilization.
-
-        Utilization is the fraction of the pool's capacity (``wall x
-        workers``) spent inside tasks — 1.0 means no worker ever idled.
-        Under a fake clock ``wall`` can be ~0; utilization is skipped then.
-        """
+    def _account(self, durations: List[float]) -> None:
+        """Publish dispatch metrics: task count and per-task time."""
         registry = get_registry()
         registry.counter(
             "fl.executor.tasks", "client work items dispatched"
-        ).inc(len(durations), executor=self.kind)
-        registry.gauge("fl.executor.workers", "round executor pool width").set(
-            workers, executor=self.kind
-        )
+        ).inc(len(durations))
         task_seconds = registry.histogram(
             "fl.executor.task_seconds", "per-task client training time"
         )
         for duration in durations:
-            task_seconds.observe(duration, executor=self.kind)
-        if wall > 0 and workers > 0:
-            registry.gauge(
-                "fl.executor.utilization", "busy fraction of the worker pool"
-            ).set(min(1.0, sum(durations) / (wall * workers)), executor=self.kind)
+            task_seconds.observe(duration)
 
     def close(self) -> None:
-        """Release any pooled resources (idempotent)."""
+        """Release any held resources (idempotent; nothing to release)."""
 
-    def __enter__(self) -> "RoundExecutor":
+    def __enter__(self) -> "SequentialRoundExecutor":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-class SequentialRoundExecutor(RoundExecutor):
-    """Run clients one at a time in the calling thread (seed behaviour)."""
-
-    kind = "sequential"
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        clock = get_clock()
-        started = clock.now()
-        results: List[R] = []
-        durations: List[float] = []
-        for item in items:
-            task_start = clock.now()
-            results.append(fn(item))
-            durations.append(clock.now() - task_start)
-        self._account(durations, clock.now() - started, workers=1)
-        return results
-
-
-class ParallelRoundExecutor(RoundExecutor):
-    """Run clients concurrently on a persistent thread pool.
-
-    Parameters
-    ----------
-    max_workers:
-        Pool width; defaults to ``min(8, cpu_count)``.  More workers than
-        cores only helps when clients block (I/O, GIL-released kernels), so
-        pick roughly the core count for compute-bound rounds.
-    """
-
-    kind = "parallel"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is None:
-            max_workers = min(8, os.cpu_count() or 1)
-        if max_workers < 1:
-            raise ValueError("max_workers must be positive")
-        self.max_workers = int(max_workers)
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.max_workers, thread_name_prefix="fl-round"
-            )
-        return self._pool
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        pool = self._ensure_pool()
-        clock = get_clock()
-        durations: List[float] = []
-        durations_lock = threading.Lock()
-
-        def timed(item: T) -> R:
-            task_start = clock.now()
-            try:
-                return fn(item)
-            finally:
-                elapsed = clock.now() - task_start
-                with durations_lock:
-                    durations.append(elapsed)
-
-        started = clock.now()
-        # Submit everything, then gather in submission (= participant)
-        # order: aggregation sees the same sequence as the sequential path.
-        futures = [pool.submit(timed, item) for item in items]
-        results = [future.result() for future in futures]
-        self._account(durations, clock.now() - started, self.max_workers)
-        return results
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from ..obs import get_registry
-from .executor import RoundExecutor
+from .executor import SequentialRoundExecutor
 
 __all__ = ["RetryPolicy", "collect_with_retries"]
 
@@ -90,7 +90,7 @@ class RetryPolicy:
 
 
 def collect_with_retries(
-    executor: RoundExecutor,
+    executor: SequentialRoundExecutor,
     fn: Callable[[T], R],
     items: Sequence[T],
     policy: RetryPolicy,
@@ -98,11 +98,11 @@ def collect_with_retries(
 ) -> List[Tuple[int, R]]:
     """Run ``fn`` over ``items`` with bounded per-item retry.
 
-    The first pass dispatches everything through the executor (so parallel
-    executors overlap client work as usual); items that raised are retried
-    in further passes, up to ``policy.max_retries`` per item.  Returns the
-    successes as ``(original_index, result)`` pairs sorted by index —
-    aggregation order therefore never depends on which attempt succeeded.
+    The first pass dispatches everything through the executor; items that
+    raised are retried in further passes, up to ``policy.max_retries`` per
+    item.  Returns the successes as ``(original_index, result)`` pairs
+    sorted by index — aggregation order therefore never depends on which
+    attempt succeeded.
 
     Metrics: each re-dispatch counts into ``fl.retry.attempts`` and each
     exhausted item into ``fl.retry.giveups`` (labelled via ``label_for``);

@@ -21,7 +21,7 @@ from .admission import AdmissionController, ReputationTracker
 from .aggregation import merge_plain_and_sealed
 from .client import FLClient
 from .config import ServerConfig
-from .executor import RoundExecutor, SequentialRoundExecutor
+from .executor import SequentialRoundExecutor
 from .history import SnapshotHistory
 from .plan import TrainingPlan
 from .resilience import collect_with_retries
@@ -48,10 +48,9 @@ class FLServer:
         A :class:`~repro.fl.config.ServerConfig` setting admission,
         resilience, sampling-seed, and sharding behaviour.
     executor:
-        Round executor deciding how client training is dispatched
-        (default: the original sequential path).  Pass a
-        :class:`~repro.fl.executor.ParallelRoundExecutor` to fan clients
-        across a thread pool; aggregation results are identical either way.
+        Round executor dispatching client training (default: a fresh
+        :class:`~repro.fl.executor.SequentialRoundExecutor`).  A subclass
+        may override ``map`` to observe dispatch, e.g. to time each client.
     """
 
     def __init__(
@@ -60,7 +59,7 @@ class FLServer:
         plan: TrainingPlan,
         policy: Optional[ProtectionPolicy] = None,
         *,
-        executor: Optional[RoundExecutor] = None,
+        executor: Optional[SequentialRoundExecutor] = None,
         config: Optional[ServerConfig] = None,
     ) -> None:
         self.config = config or ServerConfig()
@@ -181,15 +180,14 @@ class FLServer:
     def run_cycle(
         self,
         participants: Sequence[FLClient],
-        executor: Optional[RoundExecutor] = None,
+        executor: Optional[SequentialRoundExecutor] = None,
     ) -> List[ClientUpdate]:
         """One full cycle: distribute, train, collect, aggregate.
 
         Downloads are prepared on the coordinator thread before dispatch
         (they only read the frozen global weights), client training runs
         through the round executor, and updates are merged in participant
-        order — so sequential and parallel executors aggregate identical
-        global weights.
+        order.
         """
         if not participants:
             raise ValueError("no participants in this cycle")

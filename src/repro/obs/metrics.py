@@ -1,15 +1,14 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
 All metric mutation happens under one registry lock, so counts are exact
-even when the :class:`~repro.fl.executor.ParallelRoundExecutor` drives many
-clients concurrently — which is what lets the invariant tests assert *exact*
-SMC call counts rather than lower bounds.
+even when several threads record at once — which is what lets the
+invariant tests assert *exact* SMC call counts rather than lower bounds.
 
 Metrics are named with dotted strings (``tee.smc.calls``) and may carry
 labels (``ta="gradsec-lenet5", command="forward_run"``).  Each distinct
 label combination is a separate series; :meth:`Counter.total` aggregates
 across them.  :meth:`MetricsRegistry.snapshot` returns a plain-JSON dict —
-the exact payload ``repro trace`` and ``BENCH_kernels.json`` embed.
+the exact payload ``repro trace`` embeds.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ and secure-storage checkpoint/resume.  Everything is a pure function of the
 seed: same seed, same report bytes.
 """
 
-from .engine import FLSimulator, REPORT_SCHEMA_VERSION, SimConfig
+from .engine import FLSimulator, REPORT_SCHEMA_VERSION, SimConfig, SimulationStalled
 from .events import Event, EventLoop
 from .faults import AttackKind, FaultKind, FaultPlan, FaultRates, apply_attack
 from .network import NetworkModel
@@ -30,5 +30,6 @@ __all__ = [
     "FaultPlan",
     "SimConfig",
     "FLSimulator",
+    "SimulationStalled",
     "REPORT_SCHEMA_VERSION",
 ]

@@ -93,7 +93,7 @@ from .events import EventLoop
 from .faults import AttackKind, FaultKind, FaultPlan
 from .network import NetworkModel
 
-__all__ = ["SimConfig", "FLSimulator", "REPORT_SCHEMA_VERSION"]
+__all__ = ["SimConfig", "FLSimulator", "SimulationStalled", "REPORT_SCHEMA_VERSION"]
 
 REPORT_SCHEMA_VERSION = 4
 
@@ -110,6 +110,15 @@ _STREAM_ASYNC_SELECT = 17
 _EVAL_SAMPLES = 256
 
 _CHECKPOINT_OBJECT = "fl-round-checkpoint"
+
+
+class SimulationStalled(RuntimeError):
+    """The async pipeline can make no further progress.
+
+    Raised by :meth:`FLSimulator.step_commit` when no event is pending and
+    the buffer is empty: every client is quarantined or busy, so no update
+    will ever arrive to commit.
+    """
 
 
 @dataclass(frozen=True)
@@ -141,10 +150,16 @@ class SimConfig:
         Fed into the TEE cost model's per-cycle compute time.
     shards:
         Width of the hierarchical aggregation tree (clients → shard
-        aggregators → root).  ``1`` is the flat topology.  Any value
-        produces bitwise-identical final weights at the same seed — the
-        streaming reduce is exact — while peak aggregator memory stays
-        O(shards × model size), independent of the cohort and fleet size.
+        aggregators → root).  ``1`` is the flat topology.  Peak aggregator
+        memory stays O(shards × model size), independent of the cohort and
+        fleet size.  Final weights at the same seed are bitwise-identical
+        for any value under fedavg and the gather rules, which order the
+        shard-collected union by cohort position and call the pure rule.
+        Sync ``trimmed_mean`` is the exception: with 2 or more shards it
+        streams exact per-shard sums plus candidate extremes and emits the
+        exact, correctly rounded trimmed mean, which can differ in the last
+        bits from the pure rule that ``shards=1`` calls.  Any two values
+        of 2 or more agree bitwise.
     drift / teacher_scale:
         Learning signal of the honest pseudo-updates: each one pulls the
         global model ``drift`` of the way toward a seed-derived *teacher*
@@ -1435,8 +1450,9 @@ class FLSimulator:
                 self._commit(registry, degraded=True)
                 self._save_checkpoint()
                 break
-            raise RuntimeError(
-                "async pipeline stalled: no events pending and empty buffer"
+            raise SimulationStalled(
+                f"async pipeline stalled before commit {target}: every client "
+                "is quarantined or busy and no update is buffered"
             )
         return self.history[-1]
 

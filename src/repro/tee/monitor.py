@@ -25,11 +25,10 @@ __all__ = ["SecureMonitor", "SMCStats", "Session"]
 class SMCStats:
     """Counters maintained by the monitor.
 
-    All mutation is lock-guarded: under the parallel round executor many
-    client threads share one monitor, and ``calls += 1`` /
-    ``per_ta[name] += 1`` are read-modify-write races without it — the
-    invariant tests assert *exact* call counts, so lost increments are
-    test failures, not noise.
+    All mutation is lock-guarded: when several client threads share one
+    monitor, ``calls += 1`` / ``per_ta[name] += 1`` are read-modify-write
+    races without it — the invariant tests assert *exact* call counts, so
+    lost increments are test failures, not noise.
     """
 
     calls: int = 0

@@ -33,7 +33,6 @@ class TestParser:
             # for it, under the one canonical spelling.
             "table5": ("--seed", "--rounds", "--out"),
             "fig5": ("--seed", "--rounds", "--out"),
-            "perf": ("--clients", "--out"),
             "trace": ("--clients", "--seed", "--rounds", "--out"),
             "simulate": ("--clients", "--seed", "--rounds", "--out"),
         }
@@ -51,10 +50,11 @@ def _subcommands_with_out():
 
 
 class TestCleanFailures:
-    """Bad arguments exit 2 with one ``error:`` line, before any work."""
+    """Bad arguments exit 2 with one ``error:`` line, before any work; a
+    run that cannot finish exits 1 with one ``error:`` line."""
 
     def test_every_result_writing_subcommand_is_covered(self):
-        assert {"perf", "serve", "simulate", "table5", "trace"} <= set(
+        assert {"serve", "simulate", "table5", "trace"} <= set(
             _subcommands_with_out()
         )
 
@@ -78,20 +78,21 @@ class TestCleanFailures:
         assert exit_info.value.code == 2
         assert "is a directory" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("workers", ["0", "-1", "two"])
-    def test_perf_workers_must_be_positive(self, workers, capsys):
+    def test_removed_perf_subcommand_is_an_invalid_choice(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main(["perf", "--workers", workers])
+            main(["perf"])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("repro perf: error: argument --workers:")
+        assert err.startswith("repro: error: argument command: invalid choice: 'perf'")
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "argv",
         [
             ("simulate", "--clients", "8", "--rounds", "1", "--out", "{missing}"),
-            ("perf", "--quick", "--workers", "0"),
+            ("simulate", "--clients", "8", "--rounds", "1", "--cohort", "0"),
+            ("simulate", "--clients", "8", "--rounds", "1", "--dropout", "2"),
+            ("simulate", "--clients", "8", "--rounds", "1", "--policy", "bogus"),
         ],
     )
     def test_child_process_has_no_traceback(self, argv, tmp_path, spawn_repro):
@@ -102,7 +103,19 @@ class TestCleanFailures:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert len(result.stderr.splitlines()) == 1
-        assert "error:" in result.stderr
+        assert result.stderr.startswith(f"repro {argv[0]}: error: ")
+
+    def test_async_stall_exits_1_without_traceback(self, spawn_repro):
+        result = spawn_repro(
+            "simulate", "--clients", "200", "--rounds", "4", "--seed", "7",
+            "--async", "--max-norm", "2", check=False,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "repro simulate: error: async pipeline stalled before commit 1: "
+            "every client is quarantined or busy and no update is buffered"
+        ]
 
 
 class TestCommands:

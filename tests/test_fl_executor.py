@@ -1,96 +1,13 @@
-"""Round executors: parallel rounds must aggregate the exact same global
-weights as the sequential seed behaviour."""
+"""Round executor: results come back in item order, failures propagate."""
 
-import numpy as np
 import pytest
 
-from repro.core import StaticPolicy
-from repro.data.synthetic import synthetic_cifar
-from repro.fl import (
-    FLClient,
-    FLServer,
-    ParallelRoundExecutor,
-    SequentialRoundExecutor,
-    TrainingPlan,
-)
-from repro.nn import lenet5
-from repro.tee import CostModel
-
-
-def _setup(num_clients=4, policy=None, seed=0):
-    global_model = lenet5(num_classes=5, input_shape=(3, 8, 8), seed=seed)
-    plan = TrainingPlan(lr=0.1, batch_size=8, local_steps=1)
-    server = FLServer(global_model, plan, policy=policy)
-    dataset = synthetic_cifar(
-        num_samples=num_clients * 16, num_classes=5, shape=(3, 8, 8), seed=seed
-    )
-    clients = []
-    for i, shard in enumerate(dataset.shard(num_clients)):
-        client = FLClient(
-            client_id=f"client-{i}",
-            dataset=shard,
-            model=global_model.clone(),
-            cost_model=CostModel(batch_size=plan.batch_size),
-            seed=50 + i,
-        )
-        server.register(client)
-        clients.append(client)
-    return server, clients
-
-
-def _run_rounds(executor, rounds=2, **setup_kwargs):
-    server, clients = _setup(**setup_kwargs)
-    with executor:
-        for _ in range(rounds):
-            server.run_cycle(clients, executor=executor)
-    return server.model.get_weights(), clients
-
-
-def _assert_weights_equal(a, b):
-    assert len(a) == len(b)
-    for la, lb in zip(a, b):
-        assert set(la) == set(lb)
-        for key in la:
-            assert np.array_equal(la[key], lb[key])
-
-
-class TestParallelMatchesSequential:
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_global_weights_identical(self, workers):
-        seq, _ = _run_rounds(SequentialRoundExecutor())
-        par, _ = _run_rounds(ParallelRoundExecutor(max_workers=workers))
-        _assert_weights_equal(seq, par)
-
-    def test_identical_under_protection_policy(self):
-        policy = StaticPolicy(5, [2, 5])
-        seq, seq_clients = _run_rounds(SequentialRoundExecutor(), policy=policy)
-        par, par_clients = _run_rounds(
-            ParallelRoundExecutor(max_workers=3), policy=policy
-        )
-        _assert_weights_equal(seq, par)
-        # Leakage recording (what the attacks consume) is also unchanged.
-        for sc, pc in zip(seq_clients, par_clients):
-            assert len(sc.leakage_log) == len(pc.leakage_log)
-            for sl, pl in zip(sc.leakage_log, pc.leakage_log):
-                assert sl.protected == pl.protected
-
-    def test_parallel_deterministic_across_runs(self):
-        first, _ = _run_rounds(ParallelRoundExecutor(max_workers=4))
-        second, _ = _run_rounds(ParallelRoundExecutor(max_workers=4))
-        _assert_weights_equal(first, second)
-
-    def test_server_default_executor_used(self):
-        server, clients = _setup()
-        server.executor = ParallelRoundExecutor(max_workers=2)
-        server.run_cycle(clients)  # no explicit executor: uses server default
-        seq, _ = _run_rounds(SequentialRoundExecutor(), rounds=1)
-        _assert_weights_equal(server.model.get_weights(), seq)
-        server.executor.close()
+from repro.fl import SequentialRoundExecutor
 
 
 class TestExecutorBehaviour:
     def test_map_preserves_order(self):
-        with ParallelRoundExecutor(max_workers=4) as executor:
+        with SequentialRoundExecutor() as executor:
             result = executor.map(lambda i: i * i, list(range(20)))
         assert result == [i * i for i in range(20)]
 
@@ -100,20 +17,6 @@ class TestExecutorBehaviour:
                 raise RuntimeError("client failed")
             return i
 
-        with ParallelRoundExecutor(max_workers=2) as executor:
+        with SequentialRoundExecutor() as executor:
             with pytest.raises(RuntimeError, match="client failed"):
                 executor.map(boom, list(range(5)))
-
-    def test_invalid_worker_count(self):
-        with pytest.raises(ValueError):
-            ParallelRoundExecutor(max_workers=0)
-
-    def test_pool_reused_and_closed(self):
-        executor = ParallelRoundExecutor(max_workers=2)
-        executor.map(lambda i: i, [1, 2])
-        pool = executor._pool
-        executor.map(lambda i: i, [3, 4])
-        assert executor._pool is pool  # persistent across rounds
-        executor.close()
-        assert executor._pool is None
-        executor.close()  # idempotent

@@ -2,18 +2,24 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.fl.robust import RULES
+from repro.nn.serialize import flatten_weights
 from repro.obs import VirtualClock, fresh
 from repro.sim import FLSimulator, FaultPlan, FaultRates, SimConfig
 
 
-def run_sim(**kwargs):
+def simulate(**kwargs):
+    """Run one simulation; return its report and final flat weights."""
     fault_kwargs = {
         "rates": kwargs.pop("rates", None),
         "seed": kwargs.get("seed", 0),
         "shard_down": kwargs.pop("shard_down", 0.0),
+        "byzantine": kwargs.get("byzantine", 0.0),
+        "attack": kwargs.get("attack", "sign_flip"),
     }
     plan = kwargs.pop("fault_plan", None) or FaultPlan(**fault_kwargs)
     config = SimConfig(**kwargs)
@@ -21,7 +27,11 @@ def run_sim(**kwargs):
         simulator = FLSimulator(config, fault_plan=plan, clock=ctx.clock)
         report = simulator.run()
         report["metrics"] = ctx.registry.snapshot()
-    return report
+    return report, flatten_weights(simulator.model.get_weights())
+
+
+def run_sim(**kwargs):
+    return simulate(**kwargs)[0]
 
 
 class TestShardedEqualsFlat:
@@ -37,6 +47,31 @@ class TestShardedEqualsFlat:
         flat = run_sim(**base)
         sharded = run_sim(shards=shards, **base)
         assert sharded["weights_sha256"] == flat["weights_sha256"]
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_weights_sha_independent_of_shard_count_per_rule(self, rule):
+        """Any 2+ shard count commits the same bits under every rule, and
+        so does the flat path except under sync ``trimmed_mean``: with 2+
+        shards that rule streams the exact, correctly rounded trimmed mean,
+        while ``shards=1`` calls the pure rule."""
+        base = dict(
+            num_clients=150,
+            rounds=3,
+            seed=7,
+            cohort=32,
+            rates=FaultRates(dropout=0.1, straggler=0.05),
+            byzantine=0.2,
+            attack="scale",
+            rule=rule,
+        )
+        (flat, flat_weights), *sharded = [
+            simulate(shards=n, **base) for n in (1, 2, 4, 8)
+        ]
+        assert len({report["weights_sha256"] for report, _ in sharded}) == 1
+        if rule != "trimmed_mean":
+            assert flat["weights_sha256"] == sharded[0][0]["weights_sha256"]
+        else:
+            np.testing.assert_allclose(flat_weights, sharded[0][1], rtol=1e-12)
 
     def test_report_is_deterministic(self):
         a = run_sim(num_clients=80, rounds=2, seed=3, shards=8)
